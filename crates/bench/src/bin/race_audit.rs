@@ -13,12 +13,18 @@
 //! ```
 //!
 //! Exit status is nonzero iff any schedule reports a race or protocol
-//! lint, the determinism cross-check fails, or (`--selftest`) the broken
-//! guard goes undetected. Every report is printed in full.
+//! lint, the determinism cross-check fails, the process's peak RSS
+//! exceeds [`PEAK_RSS_BOUND_MIB`], or (`--selftest`) the broken guard goes
+//! undetected. Every report is printed in full.
 
 use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
 use rdma_sim::RaceKind;
 use std::time::Duration;
+
+/// Bound on the audit's peak RSS (`VmHWM`), MiB. `--quick --seed 42`
+/// peaks near 770 MiB with paged registered memory and shadow cells
+/// (x86-64, glibc malloc); the dense shadow it replaced grew past 16 GB.
+const PEAK_RSS_BOUND_MIB: f64 = 1536.0;
 
 fn arg_value(name: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
@@ -107,6 +113,10 @@ fn main() {
             s.influx_windows,
             audit.reports.len(),
         );
+        println!(
+            "  peak RSS so far {:.0} MiB",
+            heron_bench::peak_rss_mib().unwrap_or(0.0)
+        );
         if s.cells_checked == 0 {
             println!("  WARNING: no shadow cells checked — schedule exercised nothing");
             failed = true;
@@ -144,6 +154,17 @@ fn main() {
             println!("FAIL: enabling the detector changed the {which} schedule");
             failed = true;
         }
+    }
+
+    match heron_bench::peak_rss_mib() {
+        Some(peak) => {
+            println!("peak RSS {peak:.0} MiB (bound {PEAK_RSS_BOUND_MIB:.0} MiB)");
+            if peak > PEAK_RSS_BOUND_MIB {
+                println!("FAIL: peak RSS over its bound");
+                failed = true;
+            }
+        }
+        None => println!("peak RSS unavailable (no /proc/self/status): not bounded"),
     }
 
     if failed {

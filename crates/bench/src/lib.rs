@@ -41,6 +41,20 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// Peak resident set size of this process in MiB (`VmHWM` from
+/// `/proc/self/status`); `None` where procfs is unavailable.
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib as f64 / 1024.0)
+}
+
 /// Prints a standard experiment header.
 pub fn banner(title: &str, paper: &str) {
     println!("{}", "=".repeat(76));

@@ -861,8 +861,7 @@ fn encode_slot_image(
         buf.extend(std::iter::repeat_n(0u8, cap - data.len()));
     };
     let mut buf = Vec::with_capacity(2 * (16 + cap));
-    let victim_is_a = versions.a.0 <= versions.b.0;
-    if victim_is_a {
+    if versions.victim_for(ts) == 0 {
         encode_one(&mut buf, ts, new_value);
         encode_one(&mut buf, versions.b.0, &versions.b.1);
     } else {

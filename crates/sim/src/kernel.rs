@@ -1311,5 +1311,12 @@ impl Drop for Simulation {
         for j in joins {
             let _ = j.join();
         }
+        // A killed process's waiter stays in its condition and holds the
+        // kernel; a timer still queued (a write in flight at the stop) can
+        // hold the node owning that condition. Drop the queue, outside the
+        // lock, or that cycle keeps the kernel and everything the timers
+        // reach alive.
+        let pending = self.kernel.state.lock().queue.take();
+        drop(pending);
     }
 }

@@ -99,6 +99,15 @@ impl EventQueue {
         }
     }
 
+    /// Takes every entry out, leaving an empty queue of the same kind.
+    pub(crate) fn take(&mut self) -> EventQueue {
+        let kind = match self {
+            EventQueue::Wheel(_) => QueueKind::Wheel,
+            EventQueue::Heap(_) => QueueKind::Heap,
+        };
+        std::mem::replace(self, EventQueue::new(kind))
+    }
+
     pub(crate) fn push(&mut self, time: u64, seq: u64, wake: Wake) {
         match self {
             EventQueue::Wheel(w) => w.push(time, seq, wake),

@@ -31,8 +31,9 @@ cargo run -q --release --offline -p heron-bench --bin chaos_suite -- \
 
 # Race gate: Sim-TSan happens-before audit over the fig4/fig5/chaos
 # schedule shapes at fixed seeds (DESIGN.md §10). Any race or protocol
-# lint — or a detector-induced schedule perturbation — exits non-zero
-# with the full report.
+# lint, a detector-induced schedule perturbation, or a peak RSS over the
+# bound committed in race_audit.rs (paged shadow and registered memory)
+# exits non-zero with the full report.
 if ! cargo run -q --release --offline -p heron-bench --bin race_audit -- \
     --quick --seed 42; then
   echo "tier1: race audit FAILED — replay with:" >&2
