@@ -17,7 +17,7 @@
 //! exceeds [`PEAK_RSS_BOUND_MIB`], or (`--selftest`) the broken guard goes
 //! undetected. Every report is printed in full.
 
-use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_bench::{arg_value, banner, quick_mode, run_heron, RunConfig, Workload};
 use rdma_sim::RaceKind;
 use std::time::Duration;
 
@@ -25,14 +25,6 @@ use std::time::Duration;
 /// peaks near 770 MiB with paged registered memory and shadow cells
 /// (x86-64, glibc malloc); the dense shadow it replaced grew past 16 GB.
 const PEAK_RSS_BOUND_MIB: f64 = 1536.0;
-
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 /// The audited schedule shapes: the fig4 workload ladder, the fig5 scale
 /// point, and a chaos schedule that crashes and recovers a replica under
@@ -131,27 +123,26 @@ fn main() {
                 s.reports_dropped
             );
         }
-    }
 
-    // Determinism cross-check: the detector must not perturb the schedule.
-    // Same seed with the detector off must execute the exact same number
-    // of simulator events and complete the same work. Checked on the
-    // serial fig4 shape and on a width-4 pool shape — the pool adds
-    // instrumented regions (lanes, progress words) that must stay free.
-    for (which, idx) in [("serial", 2usize), ("psmr-w4", 6usize)] {
-        let mut on = schedules(base_seed, quick).swap_remove(idx).1;
-        let mut off = on.clone();
-        off.race_detector = false;
-        on.seed = base_seed + 100;
-        off.seed = base_seed + 100;
-        let (son, soff) = (run_heron(&on), run_heron(&off));
+        // Determinism cross-check: the detector must not perturb the
+        // schedule. The same config with the detector off must execute the
+        // exact same schedule and complete the same work.
+        let mut cfg_off = cfg.clone();
+        cfg_off.race_detector = false;
+        let off = run_heron(&cfg_off);
+        let identical = (off.schedule_hash, off.events, off.virtual_ns)
+            == (summary.schedule_hash, summary.events, summary.virtual_ns)
+            && off.tps == summary.tps;
         println!(
-            "determinism [{which}]: detector on {} events / {:.0} tps, off {} events / {:.0} tps \
-             (wall {:.0} ms vs {:.0} ms)",
-            son.events, son.tps, soff.events, soff.tps, son.wall_ms, soff.wall_ms
+            "  schedule {:#018x} {} events; detector off {:#018x} {} events: {}",
+            summary.schedule_hash,
+            summary.events,
+            off.schedule_hash,
+            off.events,
+            if identical { "identical" } else { "DIVERGED" }
         );
-        if son.events != soff.events || son.tps != soff.tps {
-            println!("FAIL: enabling the detector changed the {which} schedule");
+        if !identical {
+            println!("FAIL: enabling the detector changed the {name} schedule");
             failed = true;
         }
     }

@@ -14,7 +14,6 @@
 //! | `ablation_sweeps` | transfer chunk size (§V-E2), Phase-4 cut-off δ (§V-A), execution mode (§III-D2) |
 //! | `chaos_suite` | fault model of §IV — seeded fault plans through the consistency checker |
 //! | `race_audit` | Sim-TSan sweep — happens-before race & protocol-lint audit over the fig4/fig5/chaos schedules (DESIGN.md §10) |
-//! | `trace_explain` | virtual-time tracing — Perfetto export, top-k critical paths, Fig. 6 attribution cross-check (DESIGN.md §11) |
 //! | `explore_suite` | Sim-Check — schedule exploration (random / PCT / preemption-bounded) with deadlock & livelock detection over the fig4/chaos/recovery shapes (DESIGN.md §15) |
 //!
 //! Run them with `cargo run -p heron-bench --release --bin <name>`; pass
@@ -41,6 +40,16 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// The number following `name` on the command line (`--seed 42`), if
+/// present and numeric.
+pub fn arg_value(name: &str) -> Option<u64> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+}
+
 /// Peak resident set size of this process in MiB (`VmHWM` from
 /// `/proc/self/status`); `None` where procfs is unavailable.
 pub fn peak_rss_mib() -> Option<f64> {
@@ -53,6 +62,19 @@ pub fn peak_rss_mib() -> Option<f64> {
         .parse()
         .ok()?;
     Some(kib as f64 / 1024.0)
+}
+
+/// CPU time this process has used so far, all threads, live and exited
+/// (`utime + stime` from `/proc/self/stat`, in `USER_HZ` ticks of 10 ms);
+/// `None` where procfs is unavailable.
+pub fn cpu_time() -> Option<std::time::Duration> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name start at field 3
+    // (state); utime and stime are fields 14 and 15.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some(std::time::Duration::from_millis((utime + stime) * 10))
 }
 
 /// Prints a standard experiment header.

@@ -1,11 +1,18 @@
 //! Regression tests for the virtual-time tracing subsystem (DESIGN.md
 //! §11): tracing must not perturb the schedule, the Perfetto export must
 //! be well-formed and causally sensible, and the critical-path analyzer's
-//! Fig. 6 attribution must agree with the legacy breakdown counters.
+//! Fig. 6 attribution must agree with the legacy breakdown counters and
+//! decompose every request exactly, pool parks included.
 
 use heron_bench::{run_heron, RunConfig, Workload};
-use heron_core::critical_path::{attribute_where, critical_paths};
+use heron_core::critical_path::{attribute_where, critical_paths, spans};
+use heron_core::{HeronCluster, HeronConfig, PartitionId};
+use rdma_sim::{Fabric, FaultPlan, LatencyModel};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+use tpcc::{TpccApp, TpccGen, TpccScale};
 
 /// A small fig4-shaped run in fixed-work mode: deterministic request set,
 /// whole run measured, so schedules and attributions compare exactly.
@@ -83,7 +90,7 @@ fn perfetto_export_is_well_formed() {
     // run, and Begin/End pairs are non-negative (t1 ≥ t0 per span).
     let events = tracer.events();
     assert!(!events.is_empty());
-    for s in heron_core::critical_path::spans(&events) {
+    for s in spans(&events) {
         assert!(s.t1 >= s.t0, "span {} ends before it begins", s.name);
         assert!(
             s.t1 <= summary.virtual_ns,
@@ -152,4 +159,68 @@ fn critical_path_attribution_matches_legacy_breakdown() {
     assert!(paths
         .iter()
         .all(|p| p.total_ns >= Duration::from_micros(1).as_nanos() as u64));
+}
+
+/// On a width-4 P-SMR pool the all-requests view carries the parks too:
+/// a majority of partition 1 is paused past the transfer timeout while
+/// partition 0's workers sit in Phase 2 of cross-partition TPC-C
+/// transactions, so they park starved and resume when the barrier heals.
+/// At least one request shows a `park.*` segment, and every request's
+/// segments still sum exactly to its `client.request` span.
+#[test]
+fn critical_paths_carve_parks_and_sum_exactly_at_width_4() {
+    let simulation = sim::Simulation::new(7);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let scale = TpccScale::bench();
+    let app = Arc::new(TpccApp::new(scale, 16).with_partitions(2));
+    let hcfg = HeronConfig::new(2, 3)
+        .with_executor_width(4)
+        .with_tracing(true);
+    let cluster = HeronCluster::build(&fabric, hcfg, app);
+    cluster.spawn(&simulation);
+    let mut plan = FaultPlan::new(7);
+    for r in [1, 2] {
+        plan = plan.pause(
+            cluster.replica_node(PartitionId(1), r).id(),
+            Duration::from_micros(300),
+            Duration::from_millis(8),
+        );
+    }
+    plan.arm(&simulation, &fabric);
+    let live = Arc::new(AtomicUsize::new(4));
+    for c in 0..4u16 {
+        let mut client = cluster.client(format!("c{c}"));
+        let live = live.clone();
+        simulation.spawn(format!("client-{c}"), move || {
+            let mut gen = TpccGen::new(scale, 16, 7 + u64::from(c));
+            for _ in 0..30 {
+                client.execute(&gen.next(c + 1).encode());
+            }
+            if live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                sim::stop();
+            }
+        });
+    }
+    simulation
+        .run_until(sim::SimTime::from_secs(1))
+        .expect("simulation error");
+    let events = cluster.tracer().expect("tracing was on").events();
+
+    let latency: HashMap<u64, u64> = spans(&events)
+        .iter()
+        .filter(|s| s.name == "client.request" && s.corr != 0)
+        .map(|s| (s.corr, s.dur_ns()))
+        .collect();
+    let paths = critical_paths(&events);
+    assert_eq!(paths.len(), latency.len(), "one path per traced request");
+    assert_eq!(paths.len(), 4 * 30, "every request completed");
+    for p in &paths {
+        let sum: u64 = p.segments.iter().map(|s| s.ns).sum();
+        assert_eq!(sum, latency[&p.uid], "uid {} segments vs latency", p.uid);
+    }
+    let parked = paths
+        .iter()
+        .filter(|p| p.segments.iter().any(|s| s.name.starts_with("park.")))
+        .count();
+    assert!(parked > 0, "no park segment in {} paths", paths.len());
 }

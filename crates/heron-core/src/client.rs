@@ -134,7 +134,7 @@ impl HeronClient {
             self.mcast.resubmit(uid, &groups, &envelope);
         }
         // End the root span before measuring, so the traced span duration
-        // and the recorded latency are the same number: the blame
+        // and the recorded latency are the same number: the critical-path
         // analyzer's per-exemplar decomposition must sum to exactly the
         // histogram's value.
         drop(req_span);

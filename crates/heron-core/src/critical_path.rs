@@ -1,20 +1,27 @@
-//! Critical-path analysis over a virtual-time trace (see [`sim::trace`]).
+//! Critical-path analysis over a virtual-time trace (see [`sim::trace`]):
+//! the one analyzer behind every span-derived Fig. 6 view.
 //!
 //! A request's trace forms a DAG: the client's `client.request` root span,
 //! the ordering layer's `mcast.*` instants, and on every delivering replica
 //! an `exec.request` span with `exec.phase2` / `exec.execute` /
 //! `exec.phase4` children — all stitched together by the multicast message
-//! uid (the events' `corr` key). This module walks that DAG two ways:
+//! uid (the events' `corr` key). The analyzer pairs the spans once into a
+//! stage table with one row per `exec.request`: ordering, dispatch wait,
+//! Phase 2, execute and Phase 4, plus the `pool.park` time nested in each
+//! stage. Three views read that table:
 //!
-//! * [`attribute`] averages the per-replica stage durations, reproducing
-//!   the paper's Fig. 6 ordering/coordination/execution breakdown purely
-//!   from spans — the legacy [`crate::Metrics::mean_breakdown`] counters
-//!   become a cross-check for it (they must agree, since the phase spans
-//!   open and close at the instants the counters sample).
-//! * [`critical_paths`] explains individual requests: for each traced
-//!   request it attributes the client-observed latency to ordering,
-//!   the executor phases and the reply/other remainder, sorted slowest
-//!   first — `trace_explain`'s top-k view.
+//! * [`attribute`] averages the replied rows, reproducing the paper's
+//!   Fig. 6 ordering/coordination/execution breakdown purely from spans —
+//!   the legacy [`crate::Metrics::mean_breakdown`] counters become a
+//!   cross-check for it (they must agree, since the phase spans open and
+//!   close at the instants the counters sample).
+//! * [`critical_paths`] explains every traced request: it attributes the
+//!   client-observed latency to ordering, the executor phases and the
+//!   reply/other remainder, with park time carved out of the stage it
+//!   interrupted, sorted slowest first.
+//! * [`blame_exemplars`] returns the same decomposition for the tail
+//!   exemplars the latency histogram retained
+//!   ([`crate::metrics::Histogram::exemplars`]).
 
 use sim::trace::{EventKind, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
@@ -85,6 +92,106 @@ pub fn spans(events: &[TraceEvent]) -> Vec<Span> {
     out
 }
 
+/// One `exec.request` span's row of the stage table.
+struct StageRow {
+    corr: u64,
+    partition: Option<u64>,
+    partitions: u64,
+    /// Earliest `exec.reply` instant on the same track and correlation
+    /// key; `None` when this replica never replied (e.g. it served the
+    /// request through state transfer).
+    replied_at: Option<u64>,
+    ordering: u64,
+    /// Delivery → executor-pickup dispatch wait (P-SMR pool).
+    parallel: u64,
+    phase2: u64,
+    execute: u64,
+    phase4: u64,
+    /// `pool.park` ns by (stage interrupted, park label). Park time lies
+    /// inside its stage's duration above, not on top of it.
+    parks: BTreeMap<(&'static str, &'static str), u64>,
+}
+
+/// The segment label of a stage span.
+fn stage(name: &str) -> Option<&'static str> {
+    match name {
+        "exec.phase2" => Some("phase2"),
+        "exec.execute" => Some("execute"),
+        "exec.phase4" => Some("phase4"),
+        _ => None,
+    }
+}
+
+/// Builds the stage table: one row per `exec.request` span, in span order.
+fn stage_table(all: &[Span], events: &[TraceEvent]) -> Vec<StageRow> {
+    let mut reply_at: HashMap<(u32, u64), u64> = HashMap::new();
+    for e in events {
+        if e.kind == EventKind::Instant && e.name == "exec.reply" {
+            let t = reply_at.entry((e.track, e.corr)).or_insert(e.t_ns);
+            *t = (*t).min(e.t_ns);
+        }
+    }
+    let mut rows = Vec::new();
+    let mut row_of: HashMap<u64, usize> = HashMap::new();
+    for s in all.iter().filter(|s| s.name == "exec.request") {
+        row_of.insert(s.id, rows.len());
+        rows.push(StageRow {
+            corr: s.corr,
+            partition: s.arg("partition"),
+            partitions: s.arg("partitions").unwrap_or(0),
+            replied_at: reply_at.get(&(s.track, s.corr)).copied(),
+            ordering: s.arg("ordering_ns").unwrap_or(0),
+            parallel: s.arg("parallel_ns").unwrap_or(0),
+            phase2: 0,
+            execute: 0,
+            phase4: 0,
+            parks: BTreeMap::new(),
+        });
+    }
+    let by_id: HashMap<u64, &Span> = all.iter().map(|s| (s.id, s)).collect();
+    for s in all {
+        let d = s.dur_ns();
+        match (s.name, row_of.get(&s.parent)) {
+            ("exec.phase2", Some(&r)) => rows[r].phase2 += d,
+            ("exec.execute", Some(&r)) => rows[r].execute += d,
+            ("exec.phase4", Some(&r)) => rows[r].phase4 += d,
+            ("pool.park", _) => {
+                if let Some((r, stage)) = park_site(s, &by_id, &row_of) {
+                    let label = if s.arg("lagging").unwrap_or(0) != 0 {
+                        "park.lagging"
+                    } else {
+                        "park.phase2_starved"
+                    };
+                    *rows[r].parks.entry((stage, label)).or_default() += d;
+                }
+            }
+            _ => {}
+        }
+    }
+    rows
+}
+
+/// The row a park belongs to — its nearest `exec.request` ancestor — and
+/// the stage it interrupted: the nearest stage span on the way up, or the
+/// `reply+other` remainder for a park directly under the request.
+fn park_site(
+    park: &Span,
+    by_id: &HashMap<u64, &Span>,
+    row_of: &HashMap<u64, usize>,
+) -> Option<(usize, &'static str)> {
+    let mut interrupted = None;
+    // A parent opens before its child and span ids only grow, so the walk
+    // climbs strictly decreasing ids and ends.
+    let mut cur = *by_id.get(&park.parent)?;
+    loop {
+        if let Some(&r) = row_of.get(&cur.id) {
+            return Some((r, interrupted.unwrap_or("reply+other")));
+        }
+        interrupted = interrupted.or(stage(cur.name));
+        cur = *by_id.get(&cur.parent)?;
+    }
+}
+
 /// Mean per-stage attribution over the replicas' `exec.request` spans —
 /// the trace-derived Fig. 6 breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,35 +227,17 @@ pub fn attribute(events: &[TraceEvent], partitions: Option<u16>) -> Attribution 
 /// count — e.g. `|p| p > 1` for the multi-partition aggregate that
 /// [`crate::Metrics::mean_breakdown`]-style summaries report.
 pub fn attribute_where(events: &[TraceEvent], keep: impl Fn(u64) -> bool) -> Attribution {
-    let all = spans(events);
-    let replied: std::collections::HashSet<(u32, u64)> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant && e.name == "exec.reply")
-        .map(|e| (e.track, e.corr))
-        .collect();
-    // Child durations by (parent span id): phase2+phase4 vs execute.
-    let mut coord: HashMap<u64, u64> = HashMap::new();
-    let mut exec: HashMap<u64, u64> = HashMap::new();
-    for s in &all {
-        match s.name {
-            "exec.phase2" | "exec.phase4" => *coord.entry(s.parent).or_default() += s.dur_ns(),
-            "exec.execute" => *exec.entry(s.parent).or_default() += s.dur_ns(),
-            _ => {}
-        }
-    }
     let mut a = Attribution::default();
-    for s in all.iter().filter(|s| s.name == "exec.request") {
-        if !replied.contains(&(s.track, s.corr)) {
-            continue;
-        }
-        if !keep(s.arg("partitions").unwrap_or(0)) {
-            continue;
-        }
+    let rows = stage_table(&spans(events), events);
+    for r in rows
+        .iter()
+        .filter(|r| r.replied_at.is_some() && keep(r.partitions))
+    {
         a.n += 1;
-        a.ordering_ns += s.arg("ordering_ns").unwrap_or(0);
-        a.parallel_ns += s.arg("parallel_ns").unwrap_or(0);
-        a.coordination_ns += coord.get(&s.id).copied().unwrap_or(0);
-        a.execution_ns += exec.get(&s.id).copied().unwrap_or(0);
+        a.ordering_ns += r.ordering;
+        a.parallel_ns += r.parallel;
+        a.coordination_ns += r.phase2 + r.phase4;
+        a.execution_ns += r.execute;
     }
     a.ordering_ns = a.ordering_ns.checked_div(a.n).unwrap_or(0);
     a.parallel_ns = a.parallel_ns.checked_div(a.n).unwrap_or(0);
@@ -157,33 +246,98 @@ pub fn attribute_where(events: &[TraceEvent], keep: impl Fn(u64) -> bool) -> Att
     a
 }
 
-/// One latency segment of a request's critical path.
+/// One labelled share of a request's latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathSegment {
-    /// Stage label.
+pub struct Segment {
+    /// Stage or wait-state label (`"ordering"`, `"park.lagging"`, …).
     pub name: &'static str,
-    /// Virtual ns attributed to the stage.
+    /// Virtual ns attributed to it.
     pub ns: u64,
 }
 
 /// A single request's client-observed latency, decomposed along its
 /// critical path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestPath {
-    /// Correlation key (multicast uid).
-    pub corr: u64,
-    /// Issuing client's track.
-    pub client_track: u32,
-    /// Partitions the request involved.
+    /// The request's multicast uid: the trace's correlation key and the
+    /// latency histogram's exemplar tag.
+    pub uid: u64,
+    /// Partitions the request involved (0 when untraced).
     pub partitions: u64,
-    /// Span id of the home partition's `exec.request` span the path
-    /// follows (0 when the request was untraced) — the anchor the blame
-    /// analyzer hangs nested wait spans off.
-    pub home_span: u64,
     /// End-to-end latency (the `client.request` span), ns.
     pub total_ns: u64,
-    /// Stage segments summing to `total_ns`.
-    pub segments: Vec<PathSegment>,
+    /// Segments summing exactly to `total_ns`.
+    pub segments: Vec<Segment>,
+}
+
+impl RequestPath {
+    /// A request with no replied `exec.request` in the trace: one
+    /// `untraced` segment covering the whole latency.
+    fn untraced(uid: u64, total_ns: u64) -> RequestPath {
+        RequestPath {
+            uid,
+            partitions: 0,
+            total_ns,
+            segments: vec![Segment {
+                name: "untraced",
+                ns: total_ns,
+            }],
+        }
+    }
+}
+
+impl StageRow {
+    /// Decomposes `total_ns` along this row: its stages, then the
+    /// `reply+other` remainder. Each park is carved out of the stage it
+    /// interrupted into a `park.*` segment after it; park time moves
+    /// within a stage, never in or out of the request, so the segments
+    /// still sum to `total_ns` and aggregates still match [`attribute`].
+    fn path(&self, uid: u64, total_ns: u64) -> RequestPath {
+        let accounted = self.ordering + self.parallel + self.phase2 + self.execute + self.phase4;
+        let coordinated = self.phase2 + self.phase4 > 0;
+        let stages = [
+            ("ordering", self.ordering, true),
+            ("execute.parallel", self.parallel, self.parallel > 0),
+            ("phase2", self.phase2, coordinated),
+            ("execute", self.execute, true),
+            ("phase4", self.phase4, coordinated),
+            ("reply+other", total_ns.saturating_sub(accounted), true),
+        ];
+        let mut segments = Vec::new();
+        for (name, ns, shown) in stages {
+            if !shown {
+                continue;
+            }
+            let mut remaining = ns;
+            let mut parks = Vec::new();
+            for (&(_, label), &park_ns) in self.parks.iter().filter(|((s, _), _)| *s == name) {
+                // A stage's parks nest inside it in time, so they cannot
+                // exceed it; clamp anyway so the sum invariant is
+                // unconditional.
+                let take = park_ns.min(remaining);
+                remaining -= take;
+                if take > 0 {
+                    parks.push(Segment {
+                        name: label,
+                        ns: take,
+                    });
+                }
+            }
+            if remaining > 0 || parks.is_empty() {
+                segments.push(Segment {
+                    name,
+                    ns: remaining,
+                });
+            }
+            segments.extend(parks);
+        }
+        RequestPath {
+            uid,
+            partitions: self.partitions,
+            total_ns,
+            segments,
+        }
+    }
 }
 
 /// Decomposes every traced request's end-to-end latency, slowest first.
@@ -193,111 +347,51 @@ pub struct RequestPath {
 /// the replica whose reply the client-perceived latency actually tracks —
 /// through ordering, the Phase 2 barrier, execution and the Phase 4
 /// barrier, with everything else (reply flight, client polling, skew
-/// against slower partitions) as the `reply+other` remainder.
+/// against slower partitions) as the `reply+other` remainder. Parks of
+/// P-SMR pool workers appear as `park.phase2_starved` / `park.lagging`
+/// segments carved out of the stage they interrupted.
 pub fn critical_paths(events: &[TraceEvent]) -> Vec<RequestPath> {
     let all = spans(events);
-    // Earliest exec.reply per (corr, track).
-    let mut reply_at: HashMap<(u64, u32), u64> = HashMap::new();
-    for e in events {
-        if e.kind == EventKind::Instant && e.name == "exec.reply" {
-            let t = reply_at.entry((e.corr, e.track)).or_insert(u64::MAX);
-            *t = (*t).min(e.t_ns);
-        }
-    }
-    let mut coord: HashMap<u64, (u64, u64)> = HashMap::new(); // parent → (p2, p4)
-    let mut exec: HashMap<u64, u64> = HashMap::new();
-    for s in &all {
-        match s.name {
-            "exec.phase2" => coord.entry(s.parent).or_default().0 += s.dur_ns(),
-            "exec.phase4" => coord.entry(s.parent).or_default().1 += s.dur_ns(),
-            "exec.execute" => *exec.entry(s.parent).or_default() += s.dur_ns(),
-            _ => {}
-        }
-    }
-    // Per corr: the replied exec.request span at the lowest involved
-    // partition whose reply came first.
-    let mut home: BTreeMap<u64, &Span> = BTreeMap::new();
-    for s in all.iter().filter(|s| s.name == "exec.request") {
-        if s.corr == 0 || !reply_at.contains_key(&(s.corr, s.track)) {
+    let rows = stage_table(&all, events);
+    let mut home: HashMap<u64, &StageRow> = HashMap::new();
+    for r in &rows {
+        if r.corr == 0 || r.replied_at.is_none() {
             continue;
         }
-        let better = |cur: &&Span| -> bool {
-            let (pa, pb) = (s.arg("partition"), cur.arg("partition"));
-            if pa != pb {
-                return pa < pb;
-            }
-            reply_at[&(s.corr, s.track)] < reply_at[&(cur.corr, cur.track)]
-        };
-        match home.get(&s.corr) {
-            Some(cur) if !better(cur) => {}
-            _ => {
-                home.insert(s.corr, s);
-            }
+        let better = home
+            .get(&r.corr)
+            .is_none_or(|cur| (r.partition, r.replied_at) < (cur.partition, cur.replied_at));
+        if better {
+            home.insert(r.corr, r);
         }
     }
-    let mut out: Vec<RequestPath> = Vec::new();
-    for root in all.iter().filter(|s| s.name == "client.request") {
-        if root.corr == 0 {
-            continue;
-        }
-        let total = root.dur_ns();
-        let mut segments = Vec::new();
-        if let Some(h) = home.get(&root.corr) {
-            let (p2, p4) = coord.get(&h.id).copied().unwrap_or((0, 0));
-            let e = exec.get(&h.id).copied().unwrap_or(0);
-            let ordering = h.arg("ordering_ns").unwrap_or(0);
-            let parallel = h.arg("parallel_ns").unwrap_or(0);
-            let accounted = ordering + parallel + p2 + e + p4;
-            segments.push(PathSegment {
-                name: "ordering",
-                ns: ordering,
-            });
-            if parallel > 0 {
-                segments.push(PathSegment {
-                    name: "execute.parallel",
-                    ns: parallel,
-                });
-            }
-            if p2 + p4 > 0 {
-                segments.push(PathSegment {
-                    name: "phase2",
-                    ns: p2,
-                });
-            }
-            segments.push(PathSegment {
-                name: "execute",
-                ns: e,
-            });
-            if p2 + p4 > 0 {
-                segments.push(PathSegment {
-                    name: "phase4",
-                    ns: p4,
-                });
-            }
-            segments.push(PathSegment {
-                name: "reply+other",
-                ns: total.saturating_sub(accounted),
-            });
-        } else {
-            segments.push(PathSegment {
-                name: "untraced",
-                ns: total,
-            });
-        }
-        out.push(RequestPath {
-            corr: root.corr,
-            client_track: root.track,
-            partitions: home
-                .get(&root.corr)
-                .and_then(|h| h.arg("partitions"))
-                .unwrap_or(0),
-            home_span: home.get(&root.corr).map(|h| h.id).unwrap_or(0),
-            total_ns: total,
-            segments,
-        });
-    }
-    out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.corr.cmp(&b.corr)));
+    let mut out: Vec<RequestPath> = all
+        .iter()
+        .filter(|s| s.name == "client.request" && s.corr != 0)
+        .map(|root| match home.get(&root.corr) {
+            Some(h) => h.path(root.corr, root.dur_ns()),
+            None => RequestPath::untraced(root.corr, root.dur_ns()),
+        })
+        .collect();
+    out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.uid.cmp(&b.uid)));
     out
+}
+
+/// Explains histogram exemplars (`(latency_ns, uid)` pairs, as returned by
+/// [`crate::metrics::Histogram::exemplars`]) against a trace: each is its
+/// [`critical_paths`] entry. Exemplars whose uid never shows up in the
+/// trace come back with one `untraced` segment covering the whole
+/// latency, so the output always decomposes every input, in input order.
+pub fn blame_exemplars(events: &[TraceEvent], exemplars: &[(u64, u64)]) -> Vec<RequestPath> {
+    let paths = critical_paths(events);
+    let by_uid: HashMap<u64, &RequestPath> = paths.iter().map(|p| (p.uid, p)).collect();
+    exemplars
+        .iter()
+        .map(|&(latency_ns, uid)| match by_uid.get(&uid) {
+            Some(p) => (*p).clone(),
+            None => RequestPath::untraced(uid, latency_ns),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -324,6 +418,10 @@ mod tests {
             corr,
             args: sim::trace::SpanArgs::from_slice(args),
         }
+    }
+
+    fn by_name(p: &RequestPath) -> Vec<(&'static str, u64)> {
+        p.segments.iter().map(|s| (s.name, s.ns)).collect()
     }
 
     /// A hand-built two-partition request: client latency 100, ordering
@@ -376,6 +474,38 @@ mod tests {
         ]
     }
 
+    /// One traced request (latency 100) whose phase2 contains a 6ns
+    /// starvation park and whose execute contains a 4ns lagging park.
+    fn parked_trace() -> Vec<TraceEvent> {
+        use EventKind::{Begin, End, Instant};
+        vec![
+            ev(Begin, 0, 9, 1, 0, "client.request", 0, &[]),
+            ev(
+                Begin,
+                30,
+                2,
+                2,
+                0,
+                "exec.request",
+                5,
+                &[("partition", 0), ("partitions", 2), ("ordering_ns", 30)],
+            ),
+            ev(Begin, 30, 2, 3, 2, "exec.phase2", 5, &[]),
+            ev(Begin, 32, 2, 10, 3, "pool.park", 0, &[("lagging", 0)]),
+            ev(End, 38, 2, 10, 3, "pool.park", 0, &[]),
+            ev(End, 40, 2, 3, 2, "exec.phase2", 5, &[]),
+            ev(Begin, 40, 2, 4, 2, "exec.execute", 5, &[]),
+            ev(Begin, 50, 2, 11, 4, "pool.park", 0, &[("lagging", 1)]),
+            ev(End, 54, 2, 11, 4, "pool.park", 0, &[]),
+            ev(End, 65, 2, 4, 2, "exec.execute", 5, &[]),
+            ev(Begin, 65, 2, 5, 2, "exec.phase4", 5, &[]),
+            ev(End, 80, 2, 5, 2, "exec.phase4", 5, &[]),
+            ev(Instant, 81, 2, 0, 2, "exec.reply", 5, &[]),
+            ev(End, 82, 2, 2, 0, "exec.request", 5, &[]),
+            ev(End, 100, 9, 1, 0, "client.request", 5, &[]),
+        ]
+    }
+
     #[test]
     fn spans_pair_begin_and_end() {
         let s = spans(&sample_events());
@@ -414,10 +544,9 @@ mod tests {
         let paths = critical_paths(&sample_events());
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
-        assert_eq!((p.corr, p.total_ns, p.partitions), (5, 100, 2));
-        let by_name: Vec<(&str, u64)> = p.segments.iter().map(|s| (s.name, s.ns)).collect();
+        assert_eq!((p.uid, p.total_ns, p.partitions), (5, 100, 2));
         assert_eq!(
-            by_name,
+            by_name(p),
             [
                 ("ordering", 30),
                 ("phase2", 10),
@@ -463,9 +592,8 @@ mod tests {
         assert_eq!((a.n, a.ordering_ns, a.parallel_ns), (1, 30, 12));
         let paths = critical_paths(&events);
         let p = &paths[0];
-        let by_name: Vec<(&str, u64)> = p.segments.iter().map(|s| (s.name, s.ns)).collect();
         assert_eq!(
-            by_name,
+            by_name(p),
             [
                 ("ordering", 30),
                 ("execute.parallel", 12),
@@ -475,5 +603,79 @@ mod tests {
         );
         let sum: u64 = p.segments.iter().map(|s| s.ns).sum();
         assert_eq!(sum, p.total_ns);
+    }
+
+    #[test]
+    fn parks_are_carved_out_of_their_stage() {
+        let blamed = blame_exemplars(&parked_trace(), &[(100, 5)]);
+        assert_eq!(blamed.len(), 1);
+        let b = &blamed[0];
+        assert_eq!((b.uid, b.total_ns), (5, 100));
+        assert_eq!(
+            by_name(b),
+            [
+                ("ordering", 30),
+                ("phase2", 4),
+                ("park.phase2_starved", 6),
+                ("execute", 21),
+                ("park.lagging", 4),
+                ("phase4", 15),
+                ("reply+other", 20),
+            ]
+        );
+    }
+
+    #[test]
+    fn segments_sum_exactly_to_latency() {
+        for b in blame_exemplars(&parked_trace(), &[(100, 5)]) {
+            let sum: u64 = b.segments.iter().map(|s| s.ns).sum();
+            assert_eq!(sum, b.total_ns);
+            assert_eq!(b.total_ns, 100, "the exemplar's latency");
+        }
+    }
+
+    #[test]
+    fn carving_preserves_the_aggregate_breakdown() {
+        // Moving park time within a stage must not change what
+        // `attribute` reports per stage.
+        let events = parked_trace();
+        let a = attribute(&events, None);
+        let b = &blame_exemplars(&events, &[(100, 5)])[0];
+        let phase2: u64 = b
+            .segments
+            .iter()
+            .filter(|s| s.name == "phase2" || s.name == "park.phase2_starved")
+            .map(|s| s.ns)
+            .sum();
+        let execute: u64 = b
+            .segments
+            .iter()
+            .filter(|s| s.name == "execute" || s.name == "park.lagging")
+            .map(|s| s.ns)
+            .sum();
+        assert_eq!(phase2, 10);
+        assert_eq!(execute, 25);
+        assert_eq!(a.execution_ns, 25);
+    }
+
+    #[test]
+    fn untraced_exemplars_fall_back_to_one_segment() {
+        let blamed = blame_exemplars(&[], &[(77, 42)]);
+        assert_eq!(blamed.len(), 1);
+        assert_eq!(blamed[0].segments.len(), 1);
+        assert_eq!(blamed[0].segments[0].name, "untraced");
+        assert_eq!(blamed[0].segments[0].ns, 77);
+    }
+
+    /// Exemplar blame is the all-requests view restricted to the exemplar
+    /// uids: each entry equals the `critical_paths` entry for its uid.
+    #[test]
+    fn exemplars_are_their_critical_paths() {
+        for events in [sample_events(), parked_trace()] {
+            let paths = critical_paths(&events);
+            let exemplars: Vec<(u64, u64)> = paths.iter().map(|p| (p.total_ns, p.uid)).collect();
+            assert!(!exemplars.is_empty());
+            assert_eq!(blame_exemplars(&events, &exemplars), paths);
+        }
     }
 }

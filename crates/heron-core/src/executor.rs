@@ -1391,8 +1391,9 @@ struct PoolStalls<'a> {
 impl PoolStalls<'_> {
     fn park(&self, ts: Timestamp, reason: ParkReason) -> StallOutcome {
         // The park's whole duration is observable: a `pool.park` span nested
-        // under the stalled command's span (so `trace_explain` and the blame
-        // analyzer both see it), and a parked wait-state for the profiler.
+        // under the stalled command's span (so the critical-path analyzer
+        // carves it out of the stage it interrupted), and a parked
+        // wait-state for the profiler.
         let label = match &reason {
             ParkReason::Phase2Starved { .. } => "phase2_starved",
             ParkReason::Lagging => "lagging",

@@ -83,7 +83,6 @@
 #![forbid(unsafe_code)]
 
 mod app;
-pub mod blame;
 pub mod checker;
 pub mod checkpoint;
 mod client;

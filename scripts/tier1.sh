@@ -46,17 +46,6 @@ fi
 cargo run -q --release --offline -p heron-bench --bin race_audit -- \
     --quick --selftest
 
-# Trace gate: virtual-time tracing explainer (DESIGN.md §11). Exports the
-# Perfetto trace, checks the critical-path analyzer's Fig. 6 attribution
-# against the legacy breakdown counters (≤ 1 % divergence), and verifies
-# the tracing on/off schedules are bit-identical.
-if ! cargo run -q --release --offline -p heron-bench --bin trace_explain -- \
-    --quick --seed 42; then
-  echo "tier1: trace explain FAILED — replay with:" >&2
-  echo "  cargo run --release -p heron-bench --bin trace_explain -- --quick --seed 42" >&2
-  exit 1
-fi
-
 # Perf gate: a short fixed-work scheduler run (DESIGN.md §12). Fails if the
 # fast engine's measured speedup over the reference engine (heap queue,
 # host-mediated wakeups) drops below the floor committed in
@@ -100,16 +89,18 @@ fi
 cargo run -q --release --offline -p heron-bench --bin explore_suite -- \
     --quick --selftest
 
-# Profiling gate: Sim-Prof wait-state profiler (DESIGN.md §16). Pins the
-# profiler-off schedule hash against a profiler-on run on both engines
-# (fig4 + chaos + psmr-w4 shapes), requires every p999 exemplar's
-# wait-state decomposition to sum exactly to its end-to-end latency and
-# the blamed aggregate to match the legacy Fig. 6 breakdown within 1 %,
-# and bounds the profiling wall overhead at 5 %.
+# Trace and profiling gate: virtual-time tracing and the Sim-Prof
+# wait-state profiler (DESIGN.md §11, §16). Exports the Perfetto trace
+# with counter tracks, pins the tracing + profiling off/on schedule hash
+# on both engines (fig4 + chaos + psmr-w4 shapes) and on the fig7 report
+# shape, requires every critical path and p999 exemplar to sum exactly to
+# its end-to-end latency and the span-derived single/multi attribution to
+# match the legacy Fig. 6 breakdown within 1 %, and bounds the median
+# profiling CPU overhead over interleaved off/on pairs at 5 %.
 if ! cargo run -q --release --offline -p heron-bench --bin prof_explain -- \
-    --gate --quick --seed 42; then
-  echo "tier1: profiling gate FAILED — replay with:" >&2
-  echo "  cargo run --release -p heron-bench --bin prof_explain -- --gate --quick --seed 42" >&2
+    --quick --seed 42; then
+  echo "tier1: trace/profiling gate FAILED — replay with:" >&2
+  echo "  cargo run --release -p heron-bench --bin prof_explain -- --quick --seed 42" >&2
   exit 1
 fi
 
