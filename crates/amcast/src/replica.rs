@@ -1344,7 +1344,9 @@ impl McastReplica {
         // 1. Read peers' log positions.
         let mut alive = 1usize;
         let mut longest: (u64, Option<usize>) = (st.applied_seq, None);
-        let mut peer_seq: HashMap<usize, u64> = HashMap::new();
+        // Ordered: the backfill below posts in this map's iteration order,
+        // which must not depend on a hasher's random keys.
+        let mut peer_seq: BTreeMap<usize, u64> = BTreeMap::new();
         for i in 0..self.n() {
             if i == self.idx {
                 continue;
