@@ -32,15 +32,16 @@ pub struct McastConfig {
     /// Marginal leader CPU for the 2nd..Nth message ordered within one
     /// group-commit window (header parsing and bookkeeping amortize once
     /// the per-batch costs — cache misses, verb posting, doorbells — are
-    /// paid). Only charged when `max_batch > 1`.
+    /// paid). Never charged at `max_batch = 1`, where a window holds one
+    /// message.
     pub ordering_cpu_batched: Duration,
     /// CPU time a follower spends applying one log entry.
     pub follower_cpu: Duration,
-    /// Group-commit batch cap: the leader drains up to this many
-    /// finalizable messages per iteration and replicates them to
-    /// followers as one doorbell-batched log append with a single
-    /// majority-ack round. `1` (the default) disables batching and
-    /// reproduces the unbatched execution bit-for-bit under a fixed seed.
+    /// Group-commit batch cap: the leader drains finalizable messages in
+    /// rounds of up to this many and replicates each round to followers
+    /// as one doorbell-batched log append with a single majority-ack
+    /// round. `1` (the default, the paper's system) runs the same code
+    /// with rounds of one message and doorbells of one write.
     pub max_batch: usize,
     /// Self-test-only knob: drop the `await_epoch` gate on `has_work`'s
     /// truncation-horizon check, re-introducing the PR 8 zero-virtual-time
@@ -91,7 +92,7 @@ impl McastConfig {
         self
     }
 
-    /// Sets the group-commit batch cap (`1` disables batching).
+    /// Sets the group-commit batch cap (`1`: rounds of one message).
     #[must_use]
     pub fn with_max_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "max_batch must be at least 1");

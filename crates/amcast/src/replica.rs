@@ -48,7 +48,7 @@ struct State {
     finalized: BTreeSet<(u64, u32)>,
     /// Messages ordered so far in the current group-commit window; the
     /// first message of a window pays the full `ordering_cpu`, the rest
-    /// pay the marginal batched cost. Unused when `max_batch <= 1`.
+    /// pay the marginal batched cost. Always 0 on entry at `max_batch = 1`.
     ordering_window: usize,
     next_seq: u64,
     acks_cache: Vec<u64>,
@@ -677,14 +677,14 @@ impl McastReplica {
         self.try_finalize(st, qps, uid);
     }
 
-    /// Charges leader CPU for ordering one message. With group commit
-    /// enabled (`max_batch > 1`) the first message of each window pays the
-    /// full `ordering_cpu` and the following ones only the marginal
-    /// `ordering_cpu_batched`; with `max_batch = 1` every message pays the
-    /// full cost, exactly as the unbatched code did.
+    /// Charges leader CPU for ordering one message. The first message of
+    /// each group-commit window pays the full `ordering_cpu` and the
+    /// following ones only the marginal `ordering_cpu_batched`; with
+    /// `max_batch = 1` every window holds one message, so every message
+    /// pays the full cost.
     fn charge_ordering(&self, st: &mut State) {
         let cfg = &self.inner.cfg;
-        if cfg.max_batch <= 1 || st.ordering_window == 0 {
+        if st.ordering_window == 0 {
             sim::sleep(cfg.ordering_cpu);
         } else {
             sim::sleep(cfg.ordering_cpu_batched);
@@ -804,73 +804,18 @@ impl McastReplica {
     /// Skeen delivery condition: a finalized message can be sequenced once
     /// no pending message we have proposed for (but not finalized) could
     /// receive a smaller final timestamp.
+    ///
+    /// Group commit: drains every sequenceable message in rounds of up to
+    /// `max_batch` (rounds of one at the paper's `max_batch = 1`). A round
+    /// announces its finals with one doorbell per destination replica and
+    /// replicates to each follower as one doorbell-batched log append
+    /// behind a single `log_seq` bump. Popping a message never unblocks
+    /// another (the blocked predicate only consults non-finalized pending
+    /// proposals), so the round size changes the verb count and leader CPU,
+    /// never the delivery order or the timestamps.
     fn leader_sequence_ready(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
-        if self.inner.cfg.max_batch > 1 {
-            return self.leader_sequence_ready_batched(st, qps);
-        }
-        loop {
-            let Some(&(ts_raw, uid)) = st.finalized.iter().next() else {
-                return;
-            };
-            let blocked = st.pending.iter().any(|(u, p)| {
-                if st.finals.contains_key(u) {
-                    return false; // already finalized; ordered via the set
-                }
-                match p.myprop {
-                    // A pending proposal below ts could still finalize
-                    // under ts.
-                    Some(prop) => Timestamp::new(prop, MsgId(*u)).raw() < ts_raw,
-                    // No own proposal yet: our future proposal will exceed
-                    // the current clock, hence exceed ts.
-                    None => false,
-                }
-            });
-            if blocked {
-                return;
-            }
-            st.finalized.remove(&(ts_raw, uid));
-            let pend = st.pending.remove(&uid).expect("finalized implies pending");
-            let payload = pend.payload.expect("finalized implies payload");
-            let final_clock = st.finals[&uid];
-            // Announce the final timestamp to all destination replicas:
-            // redundant in steady state (each leader computes the same max)
-            // but lets successor leaders adopt in-flight decisions.
-            for g in mask_groups(pend.mask) {
-                for i in 0..self.n() {
-                    let target = self.inner.global_idx(g, i);
-                    if target == self.my_global {
-                        continue;
-                    }
-                    self.write_ctrl(
-                        st,
-                        qps,
-                        target,
-                        CtrlKind::Final,
-                        uid,
-                        u64::from(self.group.0),
-                        final_clock,
-                        &[],
-                    );
-                }
-            }
-            self.append_log(st, qps, uid, pend.mask, ts_raw, &payload);
-        }
-    }
-
-    /// Group-commit variant of [`Self::leader_sequence_ready`]: drains all
-    /// finalizable messages in rounds of up to `max_batch`, announces their
-    /// finals via one doorbell-batched write per destination replica, and
-    /// replicates each round to every follower as a single doorbell-batched
-    /// log append. Messages are popped from `finalized` in exactly the same
-    /// order as the unbatched path, so delivery order and timestamps are
-    /// identical — only the verb count and leader CPU change.
-    fn leader_sequence_ready_batched(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
         let max_batch = self.inner.cfg.max_batch;
         loop {
-            // Collect one round of ready messages. Popping a message never
-            // unblocks another (the blocked predicate only consults
-            // non-finalized pending proposals), so checking per pop matches
-            // the unbatched loop exactly.
             let mut round: Vec<(u64, u32, DestMask, Vec<u8>)> = Vec::new();
             while round.len() < max_batch {
                 let Some(&(ts_raw, uid)) = st.finalized.iter().next() else {
@@ -878,10 +823,14 @@ impl McastReplica {
                 };
                 let blocked = st.pending.iter().any(|(u, p)| {
                     if st.finals.contains_key(u) {
-                        return false;
+                        return false; // already finalized; ordered via the set
                     }
                     match p.myprop {
+                        // A pending proposal below ts could still finalize
+                        // under ts.
                         Some(prop) => Timestamp::new(prop, MsgId(*u)).raw() < ts_raw,
+                        // No own proposal yet: our future proposal will
+                        // exceed the current clock, hence exceed ts.
                         None => false,
                     }
                 });
@@ -898,9 +847,11 @@ impl McastReplica {
             }
             let drained_all = round.len() < max_batch;
 
-            // Final announcements: queue every message's Final for every
-            // destination replica, then ring one doorbell per target.
-            // BTreeMap keeps the posting order deterministic.
+            // Announce the final timestamps to all destination replicas:
+            // redundant in steady state (each leader computes the same max)
+            // but lets successor leaders adopt in-flight decisions. One
+            // doorbell per target; BTreeMap keeps the posting order
+            // deterministic.
             let mut ctrl: BTreeMap<usize, WriteBatch> = BTreeMap::new();
             for (_, uid, mask, _) in &round {
                 let final_clock = st.finals[uid];
@@ -953,8 +904,7 @@ impl McastReplica {
                     continue;
                 }
                 let target = self.inner.global_idx(self.group, i);
-                let node = self.peer_node(target).clone();
-                let peer_layout = self.inner.layouts[&node.id()];
+                let peer_layout = self.inner.layouts[&self.peer_node(target).id()];
                 let mut batch = self.qp(qps, target).write_batch();
                 for (seq, entry) in &entries {
                     batch.push(self.inner.sizes.log_slot(peer_layout, *seq), entry.clone());
@@ -965,45 +915,6 @@ impl McastReplica {
             if drained_all {
                 return;
             }
-        }
-    }
-
-    /// Appends a sequenced entry to the group log: locally, then one
-    /// unsignaled write per follower.
-    fn append_log(
-        &self,
-        st: &mut State,
-        qps: &mut HashMap<usize, QueuePair>,
-        uid: u32,
-        mask: DestMask,
-        ts_raw: u64,
-        payload: &[u8],
-    ) {
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.done.insert(uid);
-        st.props.remove(&uid);
-        sim::trace::instant_args("mcast.sequenced", u64::from(uid), &[("seq", seq)]);
-        let entry = encode_log(seq, uid, mask, ts_raw, st.epoch, payload);
-        let my_slot = self.inner.sizes.log_slot(self.layout, seq);
-        self.node
-            .local_write(my_slot, &entry)
-            .expect("own log slot in range");
-        self.node
-            .local_write_word(self.layout.log_seq, st.next_seq)
-            .expect("own log_seq word");
-        for i in 0..self.n() {
-            if i == self.idx {
-                continue;
-            }
-            let target = self.inner.global_idx(self.group, i);
-            let node = self.peer_node(target).clone();
-            let slot = self
-                .inner
-                .sizes
-                .log_slot(self.inner.layouts[&node.id()], seq);
-            let qp = self.qp(qps, target);
-            let _ = qp.post_write(slot, entry.clone());
         }
     }
 
@@ -1167,38 +1078,42 @@ impl McastReplica {
                 // the first sequence number we can actually serve.
                 let _ = qp.post_write_word(peer_layout.log_floor, from);
             }
-            if self.inner.cfg.max_batch > 1 {
-                let mut batch = qp.write_batch();
-                for seq in from..to {
-                    let entry = self.read_own_log(seq);
-                    // Re-stamped with our epoch: the current regime vouches
-                    // for the entry, so a recovered follower may apply it.
-                    let buf = encode_log(
-                        seq,
-                        entry.uid,
-                        entry.mask,
-                        entry.ts_raw,
-                        st.epoch,
-                        &entry.payload,
-                    );
-                    batch.push(self.inner.sizes.log_slot(peer_layout, seq), buf);
-                }
-                let _ = batch.post();
+            // Under group commit the whole round rides one doorbell.
+            let per_doorbell = if self.inner.cfg.max_batch > 1 {
+                BATCH
             } else {
-                for seq in from..to {
-                    let entry = self.read_own_log(seq);
-                    let buf = encode_log(
-                        seq,
-                        entry.uid,
-                        entry.mask,
-                        entry.ts_raw,
-                        st.epoch,
-                        &entry.payload,
-                    );
-                    let slot = self.inner.sizes.log_slot(peer_layout, seq);
-                    let _ = qp.post_write(slot, buf);
-                }
+                1
+            };
+            self.post_log_range(&qp, peer_layout, from..to, st.epoch, per_doorbell);
+        }
+    }
+
+    /// Posts our log entries `seqs` into a peer's ring, `per_doorbell`
+    /// entries per doorbell, re-stamped with `epoch`: the current regime
+    /// vouches for each entry, so a recovered peer may apply it.
+    fn post_log_range(
+        &self,
+        qp: &QueuePair,
+        peer_layout: NodeLayout,
+        seqs: std::ops::Range<u64>,
+        epoch: u64,
+        per_doorbell: u64,
+    ) {
+        for lo in seqs.clone().step_by(per_doorbell as usize) {
+            let mut batch = qp.write_batch();
+            for seq in lo..seqs.end.min(lo + per_doorbell) {
+                let entry = self.read_own_log(seq);
+                let buf = encode_log(
+                    seq,
+                    entry.uid,
+                    entry.mask,
+                    entry.ts_raw,
+                    epoch,
+                    &entry.payload,
+                );
+                batch.push(self.inner.sizes.log_slot(peer_layout, seq), buf);
             }
+            let _ = batch.post();
         }
     }
 
@@ -1435,20 +1350,8 @@ impl McastReplica {
             if from > seq {
                 let _ = qp.post_write_word(peer_layout.log_floor, from);
             }
-            for s in from..adopt_to {
-                let entry = self.read_own_log(s);
-                // Backfilled under the new epoch so recovered peers accept.
-                let buf = encode_log(
-                    s,
-                    entry.uid,
-                    entry.mask,
-                    entry.ts_raw,
-                    target,
-                    &entry.payload,
-                );
-                let slot = self.inner.sizes.log_slot(peer_layout, s);
-                let _ = qp.post_write(slot, buf);
-            }
+            // Backfilled under the new epoch so recovered peers accept.
+            self.post_log_range(&qp, peer_layout, from..adopt_to, target, 1);
         }
         // 5. Assume leadership. We adopted a majority log, so any suspect
         // recovered tail was superseded; our own appends carry `target`.
@@ -1495,6 +1398,8 @@ impl McastReplica {
     // Control-lane writer.
     // ------------------------------------------------------------------
 
+    /// Posts one control entry to `target` at once: a batch of one
+    /// through [`Self::queue_ctrl`].
     #[allow(clippy::too_many_arguments)]
     fn write_ctrl(
         &self,
@@ -1507,23 +1412,17 @@ impl McastReplica {
         b: u64,
         payload: &[u8],
     ) {
-        let stamp = st.ctrl_out_stamp[target];
-        st.ctrl_out_stamp[target] = stamp + 1;
-        let node_id = self.peer_node(target).id();
-        let slot = self
-            .inner
-            .sizes
-            .ctrl_slot(self.inner.layouts[&node_id], self.my_global, stamp);
-        let buf = encode_ctrl(stamp, kind, uid, a, b, payload);
-        let qp = self.qp(qps, target);
-        let _ = qp.post_write(slot, buf);
+        let mut one = BTreeMap::new();
+        self.queue_ctrl(st, qps, &mut one, target, kind, uid, a, b, payload);
+        for (_, batch) in one {
+            let _ = batch.post();
+        }
     }
 
-    /// Like [`Self::write_ctrl`] but queues the entry into a per-target
-    /// [`WriteBatch`] instead of posting it immediately; the caller rings
-    /// one doorbell per target when the batch is complete. Stamps are
-    /// consumed in queue order, so consecutive entries land in consecutive
-    /// ring slots exactly as individual posts would.
+    /// Stamps and encodes one control entry for `target`'s lane and queues
+    /// it into that target's [`WriteBatch`]; the caller rings one doorbell
+    /// per target when the batch is complete. Stamps are consumed in queue
+    /// order, so consecutive entries land in consecutive ring slots.
     #[allow(clippy::too_many_arguments)]
     fn queue_ctrl(
         &self,

@@ -242,9 +242,10 @@ impl HeronConfig {
     }
 
     /// Sets the end-to-end batching cap: the ordering layer's group-commit
-    /// window and, when above 1, doorbell-coalesced Phase 2/4 coordination
-    /// flushes in the execution layer. `1` (the default) disables batching
-    /// everywhere and reproduces the unbatched system bit-for-bit.
+    /// round size and, when above 1, active-only write-backs riding the
+    /// Phase-4 coordination doorbell. `1` (the default) is the paper's
+    /// unbatched system: the same code paths with rounds and doorbells of
+    /// one.
     #[must_use]
     pub fn with_max_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "max_batch must be at least 1");

@@ -338,13 +338,13 @@ impl ExecCore {
         self.write_coord_with(dests, ts, phase, PendingWrites::new());
     }
 
-    /// [`Self::write_coord`] with queued object writes coalesced in: in
-    /// batched mode (`max_batch > 1`) each target's pending writes and its
-    /// coordination entry are flushed as ONE doorbell batch — the coord
-    /// entry pushed last, so by the fabric's in-order application a peer
-    /// that observes the barrier entry also observes every object write
-    /// that preceded it (the invariant the passive execution path relies
-    /// on, previously guaranteed by FIFO ordering of individual verbs).
+    /// [`Self::write_coord`] with queued object writes coalesced in: each
+    /// target's pending writes and its coordination entry are flushed as
+    /// ONE doorbell batch — the coord entry pushed last, so by the fabric's
+    /// in-order application a peer that observes the barrier entry also
+    /// observes every object write that preceded it (the invariant the
+    /// passive execution path relies on). With nothing pending each target
+    /// gets a batch of one.
     fn write_coord_with(
         &self,
         dests: &[PartitionId],
@@ -354,7 +354,6 @@ impl ExecCore {
     ) {
         let shared = &self.shared;
         let n = self.n();
-        let batched = self.cfg().max_batch() > 1;
         let entry = encode_coord(ts.raw(), phase);
         let mut sorted = dests.to_vec();
         sorted.sort_unstable();
@@ -369,17 +368,13 @@ impl ExecCore {
                 );
                 if target.id() == shared.node.id() {
                     let _ = shared.node.local_write(slot_on_target, &entry);
-                } else if batched {
+                } else {
                     let mut batch = shared.qp(&target).write_batch();
                     for (addr, buf) in pending.remove(&target.id()).unwrap_or_default() {
                         batch.push(addr, buf);
                     }
                     batch.push(slot_on_target, entry.to_vec());
                     let _ = batch.post();
-                } else {
-                    let _ = shared
-                        .qp(&target)
-                        .post_write(slot_on_target, entry.to_vec());
                 }
             }
         }
@@ -748,8 +743,8 @@ impl ExecCore {
         }
         // Write back the passive partitions' objects. In batched mode they
         // are queued and ride the Phase-4 coordination doorbell (one batch
-        // per peer); unbatched, each image is its own verb, exactly as
-        // before.
+        // per peer); unbatched, each image is its own verb, posted before
+        // the barrier.
         let batched = self.cfg().max_batch() > 1;
         for (h, oid, value) in remote_writes {
             let versions = remote_slots.get(&oid).unwrap_or_else(|| {

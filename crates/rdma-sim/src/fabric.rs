@@ -203,7 +203,7 @@ pub(crate) struct FabricInner {
     /// behind the profiler's `qp.sendq` occupancy gauge.
     pub(crate) posted_inflight: AtomicU64,
     /// The `qp.sendq` occupancy gauge, registered once per fabric on the
-    /// first profiled write (post_write is far too hot for a per-call
+    /// first profiled post (posting is far too hot for a per-call
     /// name lookup).
     pub(crate) sendq_gauge: std::sync::OnceLock<sim::prof::Gauge>,
 }

@@ -143,9 +143,11 @@ impl FaultRuntime {
     }
 }
 
-/// A seeded, declarative fault schedule for one [`Fabric`]. See the
-/// [module docs](self) for the model; build with the chainable methods and
-/// install with [`FaultPlan::arm`] before the simulation runs.
+/// A seeded, declarative fault schedule for one [`Fabric`]: crash a node
+/// at a virtual time or on its Nth verb, drop or delay verb completions,
+/// slow a node down, or pause it so it lags. Every fault replays
+/// bit-for-bit from the seed. Build with the chainable methods and install
+/// with [`FaultPlan::arm`] before the simulation runs.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,

@@ -219,9 +219,10 @@ impl QueuePair {
         self.write(addr, &value.to_le_bytes())
     }
 
-    /// Unsignaled (fire-and-forget) one-sided write. The issuing process is
-    /// only charged the posting cost; the payload lands in remote memory one
-    /// one-way latency later (and wakes pollers of that node's memory).
+    /// Unsignaled (fire-and-forget) one-sided write: a [`WriteBatch`] of
+    /// one. The issuing process is only charged the posting cost; the
+    /// payload lands in remote memory one one-way latency later (and wakes
+    /// pollers of that node's memory).
     ///
     /// If the remote node is crashed at arrival time the write is silently
     /// dropped — matching unsignaled verb semantics, where no completion is
@@ -231,79 +232,9 @@ impl QueuePair {
     ///
     /// [`RdmaError::LocalFailure`] if this node is crashed.
     pub fn post_write(&self, addr: Addr, data: Vec<u8>) -> RdmaResult<()> {
-        self.check_local_alive()?;
-        // The posting charge is a synchronous span; the in-flight payload
-        // (doorbell → landing) becomes a flight span ended by the landing
-        // closure, captured exactly like the race detector's write ticket.
-        let _post = sim::trace::span_args("rdma.post", 0, &self.verb_args(addr, data.len()));
-        let gate = self.post_verb()?;
-        let now = sim::now().as_nanos();
-        let delay =
-            self.local
-                .fabric
-                .fifo_arrival(self.local.id(), self.remote.id(), now, data.len())
-                - now;
-        let remote = self.remote.clone();
-        let stats_bytes = data.len() as u64;
-        {
-            let stats = &self.local.fabric.stats;
-            stats.posted_writes.fetch_add(1, Ordering::Relaxed);
-            stats.doorbells.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_written
-                .fetch_add(stats_bytes, Ordering::Relaxed);
-        }
-        if gate.drop {
-            // Lost in the fabric; unsignaled, so nobody is told.
-            return Ok(());
-        }
-        // Ticket the write for the race detector at post time: the NIC
-        // carries the poster's ordering context to the remote memory.
-        let ticket = self.local.fabric.tsan().map(|t| {
-            (
-                t,
-                crate::tsan::Epoch::capture("rdma-post-write"),
-                now + delay,
-            )
-        });
-        let flight = sim::trace::flight_begin("rdma.write.flight", 0, &self.verb_args(addr, 0));
-        // Send-queue occupancy for the profiler: posted here, drained by
-        // the landing event one (FIFO-ordered) delay later.
-        let sendq = if sim::prof::enabled() {
-            let fabric = &self.local.fabric;
-            let g = fabric
-                .sendq_gauge
-                .get_or_init(|| sim::prof::gauge("qp.sendq"))
-                .clone();
-            g.set_at(
-                now,
-                fabric.posted_inflight.fetch_add(1, Ordering::Relaxed) + 1,
-            );
-            Some((g, Arc::clone(&self.local.fabric)))
-        } else {
-            None
-        };
-        sim::schedule_ns(delay, move || {
-            if let Some((g, fabric)) = sendq {
-                g.set_at(
-                    now + delay,
-                    fabric.posted_inflight.fetch_sub(1, Ordering::Relaxed) - 1,
-                );
-            }
-            if let Some(flight) = flight {
-                flight.end_at(now + delay);
-            }
-            if remote.is_alive() {
-                // Ignore landing errors: an unsignaled write has no
-                // completion to report them through.
-                if remote.write_raw(addr, &data).is_ok() {
-                    if let Some((tsan, ticket, arrival)) = &ticket {
-                        tsan.on_write(&remote, addr, data.len(), ticket, *arrival);
-                    }
-                }
-            }
-        });
-        Ok(())
+        let mut batch = self.write_batch();
+        batch.push(addr, data);
+        batch.post()
     }
 
     /// Unsignaled write of one 8-byte word. See [`QueuePair::post_write`].
@@ -440,7 +371,9 @@ struct FaultGate {
     drop: bool,
 }
 
-/// A doorbell batch of unsignaled writes to a single peer.
+/// A doorbell batch of unsignaled writes to a single peer — the one
+/// implementation of unsignaled writes; [`QueuePair::post_write`] is a
+/// batch of one.
 ///
 /// Real ConnectX NICs let the driver chain multiple WQEs and ring the
 /// doorbell once; the NIC then streams the work requests back-to-back.
@@ -448,13 +381,8 @@ struct FaultGate {
 /// `post_ns` **once** (one doorbell) regardless of the number of writes,
 /// the combined payload serializes as one unit on the (src, dst) link,
 /// and all writes land atomically (in push order) at the arrival instant
-/// as a single scheduler event.
-///
-/// A batch of exactly one write is cost- and event-identical to
-/// [`QueuePair::post_write`]: same doorbell charge, same link occupancy,
-/// same single landing event. That equivalence is what lets higher layers
-/// run batched code paths with batch size 1 and reproduce unbatched
-/// executions bit-for-bit.
+/// as a single scheduler event. Higher layers therefore run one code path
+/// at every batch size: a batch cap of 1 means doorbells of one write.
 ///
 /// Crash semantics match unsignaled writes: if the remote node is crashed
 /// at arrival time the whole batch is silently dropped.
@@ -511,68 +439,80 @@ impl WriteBatch {
     ///
     /// [`RdmaError::LocalFailure`] if the local node is crashed.
     pub fn post(self) -> RdmaResult<()> {
-        if self.writes.is_empty() {
+        let Some(&(first, _)) = self.writes.first() else {
             return Ok(());
-        }
+        };
         let qp = &self.qp;
         qp.check_local_alive()?;
-        let _post = sim::trace::span_args(
-            "rdma.batch",
-            0,
-            &[
-                ("dst", u64::from(qp.remote.id().0)),
-                ("n", self.writes.len() as u64),
-                ("len", self.bytes as u64),
-            ],
-        );
+        let n = self.writes.len() as u64;
+        let args = [
+            ("dst", u64::from(qp.remote.id().0)),
+            ("addr", first.0),
+            ("n", n),
+            ("len", self.bytes as u64),
+        ];
+        // The posting charge is a synchronous span; the in-flight payload
+        // (doorbell → landing) becomes a flight span ended by the landing
+        // closure, captured exactly like the race detector's write ticket.
+        let _post = sim::trace::span_args("rdma.post", 0, &args);
         // One doorbell ⇒ the whole batch counts as one verb for the fault
         // plan; dropping it loses every queued write, like a lost WQE chain.
         let gate = qp.post_verb()?;
+        let fabric = &qp.local.fabric;
         let now = sim::now().as_nanos();
-        let delay = qp
-            .local
-            .fabric
-            .fifo_arrival(qp.local.id(), qp.remote.id(), now, self.bytes)
-            - now;
-        {
-            let stats = &qp.local.fabric.stats;
-            stats
-                .posted_writes
-                .fetch_add(self.writes.len() as u64, Ordering::Relaxed);
-            stats.doorbells.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_written
-                .fetch_add(self.bytes as u64, Ordering::Relaxed);
-        }
+        let delay = fabric.fifo_arrival(qp.local.id(), qp.remote.id(), now, self.bytes) - now;
+        let stats = &fabric.stats;
+        stats.posted_writes.fetch_add(n, Ordering::Relaxed);
+        stats.doorbells.fetch_add(1, Ordering::Relaxed);
+        stats
+            .bytes_written
+            .fetch_add(self.bytes as u64, Ordering::Relaxed);
         if gate.drop {
+            // Lost in the fabric; unsignaled, so nobody is told.
             return Ok(());
         }
-        let remote = qp.remote.clone();
-        let writes = self.writes;
-        // One ticket for the whole batch: a WQE chain carries the poster's
-        // ordering context once.
-        let ticket = qp.local.fabric.tsan().map(|t| {
+        // Ticket the batch for the race detector at post time: the NIC
+        // carries the poster's ordering context to the remote memory, once
+        // per WQE chain.
+        let ticket = fabric.tsan().map(|t| {
             (
                 t,
-                crate::tsan::Epoch::capture("rdma-batch-write"),
+                crate::tsan::Epoch::capture("rdma-post-write"),
                 now + delay,
             )
         });
-        let flight = sim::trace::flight_begin(
-            "rdma.write.flight",
-            0,
-            &[
-                ("dst", u64::from(qp.remote.id().0)),
-                ("n", writes.len() as u64),
-            ],
-        );
+        let flight = sim::trace::flight_begin("rdma.write.flight", 0, &args[..3]);
+        // Send-queue occupancy for the profiler: posted here, drained by
+        // the landing event one (FIFO-ordered) delay later.
+        let sendq = if sim::prof::enabled() {
+            let g = fabric
+                .sendq_gauge
+                .get_or_init(|| sim::prof::gauge("qp.sendq"))
+                .clone();
+            g.set_at(
+                now,
+                fabric.posted_inflight.fetch_add(n, Ordering::Relaxed) + n,
+            );
+            Some((g, Arc::clone(fabric)))
+        } else {
+            None
+        };
+        let remote = qp.remote.clone();
+        let writes = self.writes;
         sim::schedule_ns(delay, move || {
+            if let Some((g, fabric)) = sendq {
+                g.set_at(
+                    now + delay,
+                    fabric.posted_inflight.fetch_sub(n, Ordering::Relaxed) - n,
+                );
+            }
             if let Some(flight) = flight {
                 flight.end_at(now + delay);
             }
             if remote.is_alive() {
                 for (addr, data) in &writes {
-                    // Ignore landing errors, as for any unsignaled write.
+                    // Ignore landing errors: an unsignaled write has no
+                    // completion to report them through.
                     if remote.write_raw(*addr, data).is_ok() {
                         if let Some((tsan, ticket, arrival)) = &ticket {
                             tsan.on_write(&remote, *addr, data.len(), ticket, *arrival);
@@ -845,6 +785,36 @@ mod tests {
         assert_eq!(s.posted_writes.load(Ordering::Relaxed), 8);
         assert_eq!(s.doorbells.load(Ordering::Relaxed), 1);
         assert_eq!(s.bytes_written.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn write_batch_occupies_the_send_queue_gauge_until_it_lands() {
+        let (simulation, _fabric, a, b) = two_nodes();
+        let prof = simulation.enable_profiling();
+        let addr = b.alloc_words(3);
+        simulation.spawn("writer", move || {
+            let qp = a.connect(&b);
+            let mut batch = qp.write_batch();
+            for i in 0..3u64 {
+                batch.push_word(addr.offset(i * 8), i + 1).unwrap();
+            }
+            batch.post().unwrap();
+            // Idle past the landing and into a later timeline bucket.
+            sim::sleep(std::time::Duration::from_micros(300));
+        });
+        simulation.run().unwrap();
+        let report = prof.report();
+        let sendq = report
+            .gauges
+            .iter()
+            .find(|g| g.name == "qp.sendq")
+            .expect("a profiled batch registers qp.sendq");
+        assert_eq!(sendq.max, 3, "all three queued writes are in flight");
+        // Three writes for exactly one flight time: the landing drained the
+        // gauge back to 0 (an undrained gauge would hold 3 to the end).
+        let area: f64 = sendq.mean.iter().sum::<f64>() * sendq.bucket_ns as f64;
+        let flight = LatencyModel::connectx4().one_way(24) as f64;
+        assert!((area - 3.0 * flight).abs() < 1e-6, "area {area}");
     }
 
     #[test]

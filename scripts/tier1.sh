@@ -13,6 +13,10 @@ cargo test -q --offline --workspace
 cargo fmt --check
 cargo clippy --all-targets --offline -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, private items included,
+# so a doc comment cannot keep pointing at a renamed or deleted function.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-private-items
+
 # Chaos gate: seeded fault plans through the SMR consistency checker
 # (DESIGN.md §9). Fixed seed window so failures replay exactly; on a
 # non-linearizable history or a stall the suite exits non-zero and prints
