@@ -438,6 +438,17 @@ impl Fabric {
     pub fn latency(&self) -> LatencyModel {
         self.inner.latency
     }
+
+    /// Host bytes backing registered memory across every node: each
+    /// materialized 4 KiB page counted once, however many nodes share it
+    /// ([`Node::fork_from`]). Deterministic for a schedule, unlike RSS.
+    pub fn host_bytes(&self) -> usize {
+        let mut pages = std::collections::HashSet::new();
+        for node in self.inner.nodes.read().iter() {
+            pages.extend(node.mem.lock().pages.page_addrs());
+        }
+        pages.len() * PAGE
+    }
 }
 
 /// A handle to one fabric node. Cloneable; clones refer to the same node.
@@ -500,10 +511,59 @@ impl Node {
         Addr(base as u64)
     }
 
-    /// Host bytes backing this node's registered memory: its allocated
-    /// 4 KiB pages. Deterministic for a schedule, unlike RSS.
+    /// Bytes of the 4 KiB pages this node's registered memory maps,
+    /// private or shared copy-on-write with other nodes
+    /// ([`Node::fork_from`]); [`Fabric::host_bytes`] counts a shared page
+    /// once. Deterministic for a schedule, unlike RSS.
     pub fn resident_bytes(&self) -> usize {
         self.inner.mem.lock().pages.resident_pages() * PAGE
+    }
+
+    /// Makes this node's registered memory from byte `from` onward a
+    /// copy-on-write image of `source`'s, and moves this node's `brk` to
+    /// `source`'s. The two nodes share those pages until either writes
+    /// one, which copies the page for the writer; a power loss on either
+    /// drops only its own references. The race detector's shadow cells
+    /// and region annotations from `from` onward are forked the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the image is exact: this node's `brk` must equal
+    /// `from` and lie within `source`'s, this node must have no resident
+    /// page, and `source` must hold only zeros below `from` on the page
+    /// that straddles it. Both nodes must be on one fabric.
+    pub fn fork_from(&self, source: &Node, from: Addr) {
+        assert!(
+            Arc::ptr_eq(&self.fabric, &source.fabric) && self.id() != source.id(),
+            "fork_from needs two distinct nodes of one fabric"
+        );
+        let from = from.0 as usize;
+        {
+            let src = source.inner.mem.lock();
+            let mut dst = self.inner.mem.lock();
+            assert_eq!(dst.brk, from, "{}: brk is not the fork point", self.name());
+            assert!(src.brk >= from, "{}: fork point past brk", source.name());
+            assert_eq!(
+                dst.pages.resident_pages(),
+                0,
+                "{}: forked over resident pages",
+                self.name()
+            );
+            let first = from / PAGE;
+            if let Some(page) = src.pages.page(first) {
+                assert!(
+                    page[..from % PAGE].iter().all(|&b| b == 0),
+                    "{}: nonzero bytes below the fork point on its page",
+                    source.name()
+                );
+            }
+            dst.pages.share_from(&src.pages, first);
+            dst.brk = src.brk;
+        }
+        let tsan = self.fabric.tsan.lock().clone();
+        if let Some(state) = tsan {
+            state.fork(source, self, from);
+        }
     }
 
     /// Bytes of registered memory (the allocation map's `brk`).
@@ -943,5 +1003,161 @@ mod tests {
         fabric.recover(n.id());
         assert_eq!(n.local_read(addr, 2 * PAGE).unwrap(), vec![0; 2 * PAGE]);
         assert_eq!(n.alloc_bytes(8), addr.offset(2 * PAGE as u64));
+    }
+
+    // ---- copy-on-write forks ----
+
+    /// Registered bytes below the fork point (a replica's private memory).
+    const PRIVATE: usize = 200;
+    /// Registered bytes of the forked image: three pages and a bit.
+    const IMAGE: usize = 3 * PAGE + 64;
+
+    /// `a` with a nonzero image above `PRIVATE` bytes of zeros, `b` forked
+    /// from it, and `c` to issue remote verbs. Returns the nodes and the
+    /// image's base address.
+    fn forked() -> (Fabric, Node, Node, Node, Addr) {
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let (a, b, c) = (
+            fabric.add_node("a"),
+            fabric.add_node("b"),
+            fabric.add_node("c"),
+        );
+        a.alloc_bytes(PRIVATE);
+        b.alloc_bytes(PRIVATE);
+        let base = a.alloc_bytes(IMAGE);
+        let image: Vec<u8> = (0..IMAGE).map(|i| (i % 253 + 1) as u8).collect();
+        a.local_write(base, &image).unwrap();
+        b.fork_from(&a, base);
+        (fabric, a, b, c, base)
+    }
+
+    /// Every registered byte of `n`.
+    fn image(n: &Node) -> Vec<u8> {
+        n.local_read(Addr(0), n.registered_bytes()).unwrap()
+    }
+
+    #[test]
+    fn a_fork_maps_the_image_without_copying_it() {
+        let (fabric, a, b, _, base) = forked();
+        assert_eq!(b.registered_bytes(), a.registered_bytes());
+        assert_eq!(image(&b), image(&a));
+        assert_eq!(b.resident_bytes(), a.resident_bytes());
+        assert_eq!(a.resident_bytes(), 4 * PAGE);
+        assert_eq!(fabric.host_bytes(), a.resident_bytes());
+        // The first write to a shared page copies that page only.
+        b.local_write_word(base.offset(PAGE as u64), 0).unwrap();
+        assert_eq!(fabric.host_bytes(), 5 * PAGE);
+        // Allocation continues past the image on both nodes.
+        assert_eq!(b.alloc_bytes(8), a.alloc_bytes(8));
+    }
+
+    /// Applies one mutation to `target` of a fresh fork, for each side in
+    /// turn, and requires the other side to read back byte-identical.
+    fn other_side_is_untouched(mutate: impl Fn(&Fabric, &Node, &Node, Addr)) {
+        for target_is_fork in [false, true] {
+            let (fabric, a, b, c, base) = forked();
+            let (target, other) = if target_is_fork { (&b, &a) } else { (&a, &b) };
+            let (before_target, before_other) = (image(target), image(other));
+            mutate(&fabric, &c, target, base);
+            fabric.recover(target.id());
+            assert_ne!(image(target), before_target, "the mutation took effect");
+            assert_eq!(
+                image(other),
+                before_other,
+                "mutating {} leaked into {}",
+                target.name(),
+                other.name()
+            );
+        }
+    }
+
+    /// Runs `verb` on a queue pair from `c` to `target` in a simulation,
+    /// long enough for unsignaled writes to land.
+    fn remote(c: &Node, target: &Node, verb: impl FnOnce(crate::QueuePair) + Send + 'static) {
+        let simulation = sim::Simulation::new(1);
+        let qp = c.connect(target);
+        simulation.spawn("verb", move || {
+            verb(qp);
+            sim::sleep(std::time::Duration::from_micros(10));
+        });
+        simulation.run().unwrap();
+    }
+
+    #[test]
+    fn a_local_write_to_either_side_stays_private() {
+        other_side_is_untouched(|_, _, target, base| {
+            target
+                .local_write(base.offset(PAGE as u64 - 4), &[0xEE; 16])
+                .unwrap();
+        });
+    }
+
+    #[test]
+    fn an_unsignaled_write_landing_on_either_side_stays_private() {
+        other_side_is_untouched(|_, c, target, base| {
+            remote(c, target, move |qp| {
+                qp.post_write(base.offset(2 * PAGE as u64), vec![0xEE; 24])
+                    .unwrap();
+            });
+        });
+    }
+
+    #[test]
+    fn a_signaled_write_to_either_side_stays_private() {
+        other_side_is_untouched(|_, c, target, base| {
+            remote(c, target, move |qp| {
+                qp.write(base.offset(8), &[0xEE; 8]).unwrap();
+            });
+        });
+    }
+
+    #[test]
+    fn a_cas_on_either_side_stays_private() {
+        other_side_is_untouched(|_, c, target, base| {
+            let word = base.offset(3 * PAGE as u64);
+            let old = target.local_read_word(word).unwrap();
+            remote(c, target, move |qp| {
+                assert_eq!(qp.compare_and_swap(word, old, !old).unwrap(), old);
+            });
+        });
+    }
+
+    #[test]
+    fn a_power_loss_on_either_side_stays_private() {
+        other_side_is_untouched(|fabric, _, target, _| fabric.power_loss(target.id()));
+    }
+
+    #[test]
+    #[should_panic(expected = "brk is not the fork point")]
+    fn a_fork_must_start_at_the_forks_brk() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        let base = a.alloc_bytes(64);
+        b.alloc_bytes(8);
+        b.fork_from(&a, base);
+    }
+
+    #[test]
+    #[should_panic(expected = "forked over resident pages")]
+    fn a_fork_must_not_cover_written_memory() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        a.alloc_bytes(8);
+        let written = b.alloc_bytes(8);
+        b.local_write_word(written, 1).unwrap();
+        let base = a.alloc_bytes(64);
+        b.fork_from(&a, base);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero bytes below the fork point")]
+    fn the_source_page_below_the_fork_point_must_be_zero() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        let private = a.alloc_bytes(8);
+        a.local_write_word(private, 1).unwrap();
+        b.alloc_bytes(8);
+        let base = a.alloc_bytes(64);
+        b.fork_from(&a, base);
     }
 }

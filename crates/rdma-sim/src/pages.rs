@@ -7,11 +7,20 @@
 //! and reads as the table's fill value (zero bytes, or the detector's
 //! initial cell), so memory use follows what the run writes rather than
 //! what it registers.
+//!
+//! Pages are reference-counted and copied on write: cloning a table shares
+//! every page with the clone, and the first write through either table to
+//! a shared page copies that page. Replicas that start from one image
+//! ([`crate::Node::fork_from`]) therefore pay host memory only for the pages
+//! they go on to write.
+
+use std::sync::Arc;
 
 /// A sparse array of `T` in pages of `N` elements. The table's length is
 /// a count of page slots; growing it allocates no page.
+#[derive(Clone)]
 pub(crate) struct PageTable<T, const N: usize> {
-    pages: Vec<Option<Box<[T; N]>>>,
+    pages: Vec<Option<Arc<[T; N]>>>,
     resident: usize,
 }
 
@@ -39,7 +48,8 @@ impl<T: Clone, const N: usize> PageTable<T, N> {
     }
 
     /// Page `i` for writing, materialized as `N` copies of `fill` on first
-    /// use. Grows the table if `i` lies past its end.
+    /// use and copied first if another table shares it. Grows the table if
+    /// `i` lies past its end.
     #[inline]
     pub(crate) fn page_mut(&mut self, i: usize, fill: &T) -> &mut [T; N] {
         if i >= self.pages.len() {
@@ -49,12 +59,13 @@ impl<T: Clone, const N: usize> PageTable<T, N> {
         if slot.is_none() {
             self.resident += 1;
         }
-        slot.get_or_insert_with(|| {
-            vec![fill.clone(); N]
-                .into_boxed_slice()
+        Arc::make_mut(slot.get_or_insert_with(|| {
+            // Collected straight into the `Arc`'s allocation: the iterator
+            // has an exact length, so no intermediate buffer is built.
+            Arc::<[T]>::from_iter(std::iter::repeat_n(fill.clone(), N))
                 .try_into()
-                .unwrap_or_else(|_| unreachable!("vec of N elements"))
-        })
+                .unwrap_or_else(|_| unreachable!("N elements"))
+        }))
     }
 
     /// Element `idx`, or `None` if its page was never written.
@@ -75,9 +86,29 @@ impl<T: Clone, const N: usize> PageTable<T, N> {
         self.page(i).is_some()
     }
 
-    /// Number of materialized pages.
+    /// Number of materialized pages this table maps, shared or private.
     pub(crate) fn resident_pages(&self) -> usize {
         self.resident
+    }
+
+    /// Addresses of the materialized pages, for counting pages shared
+    /// between tables once.
+    pub(crate) fn page_addrs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pages.iter().flatten().map(|p| Arc::as_ptr(p) as usize)
+    }
+
+    /// Maps `other`'s pages from page `first` onward into this table,
+    /// sharing them until either side writes. This table must hold no
+    /// page there.
+    pub(crate) fn share_from(&mut self, other: &Self, first: usize) {
+        self.cover(other.pages.len() * N);
+        for (i, page) in other.pages.iter().enumerate().skip(first) {
+            assert!(self.pages[i].is_none(), "page {i} is already resident");
+            if let Some(page) = page {
+                self.pages[i] = Some(Arc::clone(page));
+                self.resident += 1;
+            }
+        }
     }
 
     /// Frees every page; the table keeps its length.
@@ -109,5 +140,50 @@ mod tests {
         t.clear();
         assert_eq!(t.resident_pages(), 0);
         assert_eq!(t.get(5), None);
+    }
+
+    #[test]
+    fn a_cloned_table_shares_pages_until_either_side_writes() {
+        let mut a: PageTable<u32, 4> = PageTable::new();
+        *a.get_mut(1, &0) = 1;
+        *a.get_mut(5, &0) = 5;
+        let mut b = a.clone();
+        assert_eq!(b.resident_pages(), 2);
+        let distinct = |t: &[&PageTable<u32, 4>]| {
+            let mut addrs: Vec<usize> = t.iter().flat_map(|t| t.page_addrs()).collect();
+            addrs.sort_unstable();
+            addrs.dedup();
+            addrs.len()
+        };
+        assert_eq!(distinct(&[&a, &b]), 2, "the clone copies no page");
+        // A write through the clone copies only the page it hits...
+        *b.get_mut(1, &0) = 10;
+        assert_eq!((a.get(1), b.get(1)), (Some(&1), Some(&10)));
+        assert_eq!(distinct(&[&a, &b]), 3);
+        // ...and so does a write through the original.
+        *a.get_mut(5, &0) = 50;
+        assert_eq!((a.get(5), b.get(5)), (Some(&50), Some(&5)));
+        assert_eq!(distinct(&[&a, &b]), 4);
+        // A page the other side no longer shares is written in place.
+        *a.get_mut(5, &0) = 51;
+        assert_eq!(distinct(&[&a, &b]), 4);
+        // Clearing one side drops only its own references.
+        b.clear();
+        assert_eq!((a.get(1), a.get(5)), (Some(&1), Some(&51)));
+        assert_eq!(b.get(1), None);
+    }
+
+    #[test]
+    fn share_from_maps_pages_from_the_first_index_on() {
+        let mut a: PageTable<u8, 4> = PageTable::new();
+        for i in [0, 4, 8] {
+            *a.get_mut(i, &0) = i as u8 + 1;
+        }
+        let mut b: PageTable<u8, 4> = PageTable::new();
+        b.share_from(&a, 1);
+        assert_eq!(b.resident_pages(), 2);
+        assert_eq!((b.get(0), b.get(4), b.get(8)), (None, Some(&5), Some(&9)));
+        *b.get_mut(4, &0) = 0;
+        assert_eq!(a.get(4), Some(&5));
     }
 }

@@ -248,6 +248,7 @@ struct Cell {
     r_mark: Option<Arc<ReadMark>>,
 }
 
+#[derive(Clone)]
 struct Region {
     start: u64,
     end: u64,
@@ -357,6 +358,33 @@ impl TsanState {
             s.name = node.name().to_string();
         }
         f(s)
+    }
+
+    /// The shadow half of [`Node::fork_from`]: `dst`'s shadow cells from
+    /// byte `from` onward become a copy-on-write image of `src`'s, and
+    /// `src`'s region annotations there are copied to `dst`. Cells below
+    /// `from` on the straddling page keep `dst`'s own (initial) state.
+    pub(crate) fn fork(&self, src: &Node, dst: &Node, from: usize) {
+        let (cells, regions) = self.with_node(src, |s| {
+            let above = s.regions.iter().filter(|r| r.start >= from as u64);
+            (s.cells.clone(), above.cloned().collect::<Vec<_>>())
+        });
+        self.with_node(dst, |d| {
+            assert!(
+                d.regions.iter().all(|r| r.end <= from as u64),
+                "{}: forked over annotated regions",
+                d.name
+            );
+            let first = from / PAGE;
+            d.cells.share_from(&cells, first);
+            let below = (from % PAGE) / CELL_BYTES as usize;
+            if below > 0 && d.cells.is_resident(first) {
+                let init = d.init_cell.clone();
+                d.cells.page_mut(first, &init)[..below].fill(init);
+            }
+            d.regions.extend(regions);
+            d.regions.sort_by_key(|r| r.start);
+        });
     }
 
     pub(crate) fn annotate(
@@ -937,6 +965,64 @@ mod tests {
         });
         sim_h.run().unwrap();
         assert!(det.reports().is_empty(), "got: {:#?}", det.reports());
+    }
+
+    /// A fork carries the shadow of the image: the region annotations and
+    /// last writers above the fork point, but not the source's shadow
+    /// below it, and later writes stay on their own side.
+    #[test]
+    fn a_fork_shares_the_shadow_above_the_fork_point() {
+        let sim_h = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let det = fabric.enable_race_detector();
+        let (a, b, c) = (
+            fabric.add_node("a"),
+            fabric.add_node("b"),
+            fabric.add_node("c"),
+        );
+        let private = a.alloc_bytes(16);
+        b.alloc_bytes(16);
+        let slot = a.alloc_bytes(64);
+        let data = a.alloc_bytes(16);
+        a.annotate_region(slot, 64, RegionKind::DualSlot, "slot");
+        let a2 = a.clone();
+        sim_h.spawn("writer", move || {
+            // Zeros leave the memory page unbacked but still mark the
+            // shadow cells below the fork point.
+            a2.local_write(private, &[0; 16]).unwrap();
+            a2.local_write(slot, &[2; 64]).unwrap();
+            a2.local_write(data, &[1; 16]).unwrap();
+        });
+        let qp = c.connect(&b);
+        sim_h.spawn("reader", move || {
+            sim::sleep(Duration::from_nanos(1000));
+            let _ = qp.read(slot, 64).unwrap();
+            let _ = qp.read(data, 16).unwrap();
+            qp.write(data, &[3; 16]).unwrap();
+        });
+        sim_h.run_until(sim::SimTime::from_nanos(500)).unwrap();
+        b.fork_from(&a, slot);
+        assert!(det.last_writer(&b, private, 16).is_none());
+        assert_eq!(det.last_writer(&b, data, 16).unwrap().proc, "writer");
+        sim_h.run().unwrap();
+        // The slot is exempt on the fork too; the data read and write race
+        // the writer's write, which the fork inherited.
+        let reports = det.reports();
+        let kinds: Vec<RaceKind> = reports.iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            [RaceKind::RemoteReadVsWrite, RaceKind::WriteVsWrite],
+            "got: {reports:#?}"
+        );
+        for r in &reports {
+            assert_eq!(r.node, b.id());
+            assert_eq!(r.first.proc, "writer");
+            assert_eq!(r.range, (data.0, data.0 + 16));
+        }
+        // The reader's write to the fork left the source's shadow alone.
+        assert_eq!(det.last_writer(&b, data, 16).unwrap().proc, "reader");
+        assert_eq!(det.last_writer(&a, data, 16).unwrap().proc, "writer");
+        assert_eq!(det.last_writer(&a, private, 16).unwrap().proc, "writer");
     }
 
     /// When the detector is off, clocks never tick and the event schedule
