@@ -155,7 +155,9 @@ impl fmt::Debug for HeronCluster {
 impl HeronCluster {
     /// Builds a deployment on `fabric`: creates the replica nodes, lays out
     /// the ordering and coordination memory, and bootstraps every
-    /// partition's store from the application.
+    /// partition's store from the application: once per partition, with
+    /// the other replicas sharing that image copy-on-write
+    /// ([`VersionedStore::fork`]).
     pub fn build(fabric: &Fabric, cfg: HeronConfig, app: Arc<dyn StateMachine>) -> Self {
         let nodes: Vec<Vec<Node>> = (0..cfg.partitions)
             .map(|p| {
@@ -200,7 +202,7 @@ impl HeronCluster {
         let n = cfg.replicas_per_partition;
         let mut replicas = Vec::with_capacity(cfg.partitions);
         for p in 0..cfg.partitions {
-            let mut row = Vec::with_capacity(n);
+            let mut row: Vec<Arc<ReplicaShared>> = Vec::with_capacity(n);
             for i in 0..n {
                 let node = inner.nodes[p][i].clone();
                 // One coordination lane per pool worker: every writer
@@ -250,13 +252,21 @@ impl HeronCluster {
                         tag("progress"),
                     );
                 }
-                let mut store = VersionedStore::new(node.clone());
-                if let Some(det) = &inner.detector {
-                    store.instrument(det.clone(), cfg.break_dual_version_guard);
-                }
-                for (oid, value) in inner.app.bootstrap(PartitionId(p as u16)) {
-                    store.bootstrap(oid, &value);
-                }
+                // Every replica starts from the same state: replica 0
+                // bootstraps it, the others share its pages copy-on-write.
+                let store = match row.first() {
+                    Some(first) => first.store.fork(node.clone()),
+                    None => {
+                        let mut store = VersionedStore::new(node.clone());
+                        if let Some(det) = &inner.detector {
+                            store.instrument(det.clone(), cfg.break_dual_version_guard);
+                        }
+                        for (oid, value) in inner.app.bootstrap(PartitionId(p as u16)) {
+                            store.bootstrap(oid, &value);
+                        }
+                        store
+                    }
+                };
                 row.push(Arc::new(ReplicaShared {
                     cluster: Arc::clone(&inner),
                     partition: PartitionId(p as u16),

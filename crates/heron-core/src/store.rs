@@ -135,6 +135,9 @@ struct StoreInner {
 /// RDMA-registered memory.
 pub struct VersionedStore {
     node: Node,
+    /// The node's `brk` when the store was created: its first slot's
+    /// address, where [`VersionedStore::fork`] starts the shared image.
+    base: Addr,
     inner: Mutex<StoreInner>,
     /// When set, slots are annotated [`RegionKind::DualSlot`] as they are
     /// allocated and [`VersionedStore::set`] lints the victim rule.
@@ -156,12 +159,36 @@ impl VersionedStore {
     /// Creates an empty store on `node`.
     pub fn new(node: Node) -> Self {
         VersionedStore {
+            base: Addr(node.registered_bytes() as u64),
             node,
             inner: Mutex::new(StoreInner {
                 slots: HashMap::new(),
             }),
             detector: None,
             break_victim_guard: false,
+        }
+    }
+
+    /// A store on `node` that starts as an exact copy of this one: the
+    /// same slots at the same addresses, over registered memory that
+    /// shares this store's pages copy-on-write ([`Node::fork_from`]). The
+    /// replicas of a partition start from one bootstrap image this way
+    /// instead of each writing it. The race detector settings carry over.
+    ///
+    /// # Panics
+    ///
+    /// As [`Node::fork_from`]: `node` must have registered exactly up to
+    /// this store's first slot and written nothing.
+    pub fn fork(&self, node: Node) -> VersionedStore {
+        node.fork_from(&self.node, self.base);
+        VersionedStore {
+            node,
+            base: self.base,
+            inner: Mutex::new(StoreInner {
+                slots: self.inner.lock().slots.clone(),
+            }),
+            detector: self.detector.clone(),
+            break_victim_guard: self.break_victim_guard,
         }
     }
 

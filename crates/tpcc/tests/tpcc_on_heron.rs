@@ -245,3 +245,24 @@ fn stock_level_counts_low_stock() {
     });
     simulation.run().unwrap();
 }
+
+/// The replicas of a partition share one bootstrap image copy-on-write:
+/// corrupting a value at replica 1 right after set-up, while every page is
+/// still shared, must change replica 1's state digest and no other's.
+#[test]
+fn corrupting_a_forked_replica_leaves_its_peers_intact() {
+    let (_simulation, cluster, _app) = build(33, 2, 3);
+    let digests = |c: &HeronCluster| -> Vec<u64> {
+        (0..2)
+            .flat_map(|p| (0..3).map(move |r| (p, r)))
+            .map(|(p, r)| c.state_digest(PartitionId(p), r))
+            .collect()
+    };
+    let before = digests(&cluster);
+    assert!(before[..3].iter().all(|&d| d == before[0]));
+    cluster.corrupt_value(PartitionId(0), 1, ids::district(1, 1));
+    let after = digests(&cluster);
+    assert_ne!(after[1], before[1], "the corruption took effect");
+    let untouched = |d: &[u64]| [d[0], d[2], d[3], d[4], d[5]];
+    assert_eq!(untouched(&after), untouched(&before));
+}
