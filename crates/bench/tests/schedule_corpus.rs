@@ -19,9 +19,11 @@
 //! follower crash under group commit (batched retransmission), a chaos seed
 //! that crashes an ordering leader (election backfill and unbatched
 //! retransmission), and a durable-recovery seed (power loss, WAL reload).
+//! The six scheduler workloads of `sched_bench` pin their kernel-only
+//! schedules too.
 
 use heron_bench::chaos;
-use heron_bench::{run_heron, RunConfig, Workload};
+use heron_bench::{run_heron, sched_workloads, RunConfig, Workload};
 use heron_core::ExecutionMode;
 use std::time::Duration;
 
@@ -168,5 +170,73 @@ fn durable_recovery() {
         &chaos::recovery_scenario_for_seed(9028, true),
         0x2367_bf80_a4a8_99ea,
         "Pass { ops: 62 }",
+    );
+}
+
+/// Hash-map iteration order must not reach a post, a wake or a spawn:
+/// `RandomState` keys differ per map and per thread, so repeated runs in
+/// one process see different orders. The two seeds whose election
+/// backfill once depended on that order must give one hash each.
+#[test]
+fn hash_map_order_does_not_reach_the_schedule() {
+    let seeds = [
+        ("chaos seed 9439", chaos::scenario_for_seed(9439, true)),
+        (
+            "recovery seed 9028",
+            chaos::recovery_scenario_for_seed(9028, true),
+        ),
+    ];
+    for (name, sc) in &seeds {
+        let hashes: std::collections::BTreeSet<u64> = (0..3)
+            .map(|_| chaos::run_with_engine(sc, sim::EngineConfig::default()).1)
+            .collect();
+        assert_eq!(hashes.len(), 1, "{name}: schedule hashes {hashes:x?}");
+    }
+}
+
+/// Events each scheduler workload is sized for: small, so the six run in
+/// well under a second in debug.
+const SCHED_EVENTS: u64 = 2_000;
+
+/// The scheduler workloads on the default engine: `(name, schedule_hash,
+/// events, virtual_ns)`.
+const SCHED_GOLDEN: [(&str, u64, u64, u64); 6] = [
+    ("timer_events", 0xb24b_3b2d_647b_6c1d, 2001, 200_000),
+    ("pingpong_switches", 0x54f7_6095_363e_8b62, 2002, 50_000),
+    ("fanout_wakes", 0x33be_cf60_8e0a_89a4, 2259, 50_000),
+    ("timer_cancellation", 0x5e76_1ea8_0616_5cf9, 2000, 1_066_500),
+    ("same_instant_burst", 0x3c1c_1051_cbcb_28d0, 1951, 30_000),
+    (
+        "skewed_deadlines",
+        0x71d1_911f_36f0_06aa,
+        1502,
+        123_326_648_350,
+    ),
+];
+
+#[test]
+fn sched_workloads() {
+    let got: Vec<(&str, u64, u64, u64)> = sched_workloads::all()
+        .iter()
+        .map(|w| {
+            let simulation = (w.build)(SCHED_EVENTS, sim::EngineConfig::default());
+            simulation.run().unwrap();
+            (
+                w.name,
+                simulation.schedule_hash(),
+                simulation.events_executed(),
+                simulation.now().as_nanos(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        SCHED_GOLDEN,
+        "a scheduler workload's (name, schedule_hash, events, virtual_ns) left \
+         the golden corpus; got:\n{}",
+        got.iter()
+            .map(|g| format!("({:?}, {:#018x}, {}, {}),", g.0, g.1, g.2, g.3))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
