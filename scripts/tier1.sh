@@ -33,6 +33,12 @@ fi
 cargo run -q --release --offline -p heron-bench --bin chaos_suite -- \
     --quick --selftest
 
+# Benchmark self-test: corrupt one stored object at replica 1 of partition
+# 0 after a TPC-C sub-run and require the benchmark's digest check to catch
+# it. Replica 1 shares replica 0's bootstrap pages copy-on-write, so this
+# also proves a write to a forked replica stays private end to end.
+python3 perfbench/run.py --selftest
+
 # Race gate: Sim-TSan happens-before audit over the fig4/fig5/chaos
 # schedule shapes at fixed seeds (DESIGN.md §10). Any race or protocol
 # lint, a detector-induced schedule perturbation, or a peak RSS over the
